@@ -1,7 +1,7 @@
 //! Per-kernel benchmarks of the hot-path rewrites: scalar vs blocked vs
 //! SIMD-dispatched dense kernels, raw-hash vs interned-packed ScanCount
-//! queries, packed vs plain posting traversal, and the exact vs
-//! quantized-with-rescore flat scan. CI runs this target with `--test`
+//! queries, packed vs plain posting traversal, and the exact flat kNN
+//! scan. CI runs this target with `--test`
 //! (one iteration, no timing) to keep the kernels exercised on every
 //! push.
 
@@ -110,8 +110,7 @@ fn bench_kernels(c: &mut Criterion) {
         });
     });
 
-    // Flat kNN scan: the exact row-at-a-time scan vs the quantized first
-    // pass with exact rescore (bit-identical results).
+    // Flat scan: the raw row-at-a-time kernel loop and the exact kNN.
     let embedder = HashEmbedder::new(EmbeddingConfig {
         dim: 64,
         ..Default::default()
@@ -132,13 +131,9 @@ fn bench_kernels(c: &mut Criterion) {
             black_box(acc)
         });
     });
-    let quantized = FlatIndex::build(rows.clone(), Metric::L2Sq);
-    let exact = FlatIndex::build_unquantized(rows.clone(), Metric::L2Sq);
+    let exact = FlatIndex::build(rows, Metric::L2Sq);
     c.bench_function("flat_knn/exact", |b| {
         b.iter(|| black_box(exact.knn(black_box(&q), 10)));
-    });
-    c.bench_function("flat_knn/quantized_rescore", |b| {
-        b.iter(|| black_box(quantized.knn(black_box(&q), 10)));
     });
 }
 

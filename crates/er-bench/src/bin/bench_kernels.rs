@@ -1,8 +1,7 @@
 //! Kernel/layout micro-benchmark: the optimized hot paths against their
 //! reference implementations on the D2 smoke workload — naive vs
 //! CSR/interned sparse queries, plain vs bitpacked posting traversal,
-//! scalar vs blocked vs SIMD-dispatched dense kernels, and the exact vs
-//! quantized-with-rescore flat scan.
+//! and scalar vs blocked vs SIMD-dispatched dense kernels.
 //!
 //! Every optimized variant is first checked against its reference —
 //! candidate sets must be identical and kernel outputs bitwise equal
@@ -21,8 +20,7 @@ use er::core::schema::{text_view, SchemaMode};
 use er::core::{Filter, Stopwatch};
 use er::datagen::{generate, profiles::profile};
 use er::dense::{
-    dot, dot_blocked, dot_scalar, l2_sq, l2_sq_blocked, EmbeddingConfig, FlatIndex, FlatVectors,
-    HashEmbedder, Metric,
+    dot, dot_blocked, dot_scalar, l2_sq, l2_sq_blocked, EmbeddingConfig, FlatVectors, HashEmbedder,
 };
 use er::sparse::reference::{self, NaiveScanCountIndex};
 use er::sparse::{
@@ -227,39 +225,6 @@ fn main() {
     let l2_blocked_s = time_min(reps, || scan(&l2_sq_blocked));
     let l2_simd_s = time_min(reps, || scan(&l2_sq));
 
-    // -- Quantized flat scan with exact rescore vs the always-exact scan;
-    // results must be bitwise identical. `FlatIndex::build` is the
-    // *chosen* path — it only attaches the quantization sidecar above
-    // `QUANT_CUTOVER_ROWS` (the sidecar was a 0.36× loss at smoke scale)
-    // — so the forced-quantized constructor supplies the quantized
-    // timing and the chosen path is gated against both.
-    let k = 10usize;
-    let chosen = FlatIndex::build(rows.clone(), Metric::L2Sq);
-    let quantized = FlatIndex::build_quantized(rows.clone(), Metric::L2Sq);
-    let exact = FlatIndex::build_unquantized(rows.clone(), Metric::L2Sq);
-    let exact_nn = exact.knn_batch_with(1, &queries, k);
-    let identical_nn = |other: &FlatIndex| {
-        let nn = other.knn_batch_with(1, &queries, k);
-        nn.len() == exact_nn.len()
-            && nn.iter().zip(&exact_nn).all(|(a, b)| {
-                a.len() == b.len()
-                    && a.iter()
-                        .zip(b)
-                        .all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits())
-            })
-    };
-    let quant_identical = identical_nn(&quantized) && identical_nn(&chosen);
-    if !quant_identical {
-        gate_failures.push("quantized flat scan vs exact scan");
-    }
-    let quant_scan_s = time_min(reps, || quantized.knn_batch_with(1, &queries, k));
-    let exact_scan_s = time_min(reps, || exact.knn_batch_with(1, &queries, k));
-    let chosen_scan_s = time_min(reps, || chosen.knn_batch_with(1, &queries, k));
-    let quant_floor = exact_scan_s.min(quant_scan_s).as_secs_f64() * 1.5;
-    if chosen_scan_s.as_secs_f64() > quant_floor {
-        gate_failures.push("quantization cutover chose the slower scan path");
-    }
-
     let identical = gate_failures.is_empty();
     if !identical {
         for what in &gate_failures {
@@ -351,26 +316,6 @@ fn main() {
                 (
                     "speedup_simd".to_owned(),
                     Json::Num(speedup(l2_blocked_s, l2_simd_s)),
-                ),
-            ]),
-        ),
-        (
-            "quantized_scan".to_owned(),
-            Json::Obj(vec![
-                (
-                    "candidate_sets_identical".to_owned(),
-                    Json::Bool(quant_identical),
-                ),
-                ("exact_s".to_owned(), secs(exact_scan_s)),
-                ("quantized_s".to_owned(), secs(quant_scan_s)),
-                ("chosen_s".to_owned(), secs(chosen_scan_s)),
-                (
-                    "speedup".to_owned(),
-                    Json::Num(speedup(exact_scan_s, quant_scan_s)),
-                ),
-                (
-                    "speedup_chosen".to_owned(),
-                    Json::Num(speedup(exact_scan_s, chosen_scan_s)),
                 ),
             ]),
         ),

@@ -910,8 +910,8 @@ mod tests {
             let key = ArtifactKey::new(7, filter.repr_key());
             assert!(artifacts.store(&key, &prepared).expect("store"));
         }
-        // Covers the per-section compression report: the dense-flat-q
-        // codec reports the derived quantization sidecar's ratio.
+        // A dense-flat-q file stores its sections verbatim, so inspect
+        // prints the layout with no compression-report lines.
         let dir_arg = dir.to_string_lossy().into_owned();
         store(&s(&["inspect", "--dir", &dir_arg])).expect("inspect");
         store(&s(&["verify", "--dir", &dir_arg])).expect("verify");

@@ -147,8 +147,8 @@ struct Inner {
 /// `FlatVectors`) the producers report the exact heap footprint of their
 /// flat arrays, so the budget tracks real memory rather than a
 /// pointer-chasing estimate. That number must include every derived
-/// sidecar the artifact carries (bitpacked postings, quantization
-/// codes): a disk tier that round-trips an artifact is expected to
+/// structure the artifact carries (e.g. bitpacked postings): a disk
+/// tier that round-trips an artifact is expected to
 /// reproduce the same `bytes()` (see `ArtifactCodec::exact_heap_parity`
 /// in `er-store`), so eviction decisions do not depend on whether an
 /// artifact was freshly prepared or reloaded from disk.

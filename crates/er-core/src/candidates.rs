@@ -9,10 +9,9 @@
 //! methods.
 
 use crate::hash::FastSet;
-use serde::{Deserialize, Serialize};
 
 /// A candidate pair: `left` indexes `E1`, `right` indexes `E2`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Pair {
     /// Index into the first (indexed) collection `E1`.
     pub left: u32,

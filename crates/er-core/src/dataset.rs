@@ -4,13 +4,11 @@
 use crate::candidates::{CandidateSet, Pair};
 use crate::entity::Entity;
 use crate::hash::FastSet;
-use serde::{Deserialize, Serialize};
 
 /// The ground truth: the set of duplicate pairs `D(E1 × E2)`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GroundTruth {
     pairs: Vec<Pair>,
-    #[serde(skip)]
     index: FastSet<u64>,
 }
 
@@ -74,7 +72,7 @@ impl GroundTruth {
 }
 
 /// A Clean-Clean ER dataset: `E1`, `E2` and the ground truth.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     /// A short identifier, e.g. `"D4"`.
     pub name: String,

@@ -4,10 +4,8 @@
 //! real-world object. The model covers relational records (fixed schema) and
 //! semi-structured RDF-style descriptions (heterogeneous schemata) alike.
 
-use serde::{Deserialize, Serialize};
-
 /// A single textual `⟨name, value⟩` pair inside an entity profile.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Attribute {
     /// The attribute name, e.g. `"title"`.
     pub name: String,
@@ -30,7 +28,7 @@ impl Attribute {
 /// Profiles are identified positionally within their collection; the
 /// candidate-pair layer works with `u32` indices into `E1`/`E2`, never with
 /// the profiles themselves.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Entity {
     /// The attributes of this profile, in source order.
     pub attributes: Vec<Attribute>,

@@ -281,17 +281,26 @@ pub fn corrupt_pairs(site: &str, candidates: &mut crate::candidates::CandidateSe
 /// and serializes callers on an internal lock so concurrently-running
 /// tests cannot clobber each other's plans.
 pub fn with_plan<T>(plan: FaultPlan, f: impl FnOnce() -> T) -> T {
+    exclusive(|| {
+        configure(Some(plan));
+        // Clear the plan even if `f` unwinds (kill faults do).
+        struct Reset;
+        impl Drop for Reset {
+            fn drop(&mut self) {
+                configure(None);
+            }
+        }
+        let _reset = Reset;
+        f()
+    })
+}
+
+/// Runs `f` on the lock [`with_plan`] holds, so code that must run
+/// fault-free (e.g. a test sharing its process with fault tests) never
+/// overlaps an installed plan.
+pub fn exclusive<T>(f: impl FnOnce() -> T) -> T {
     static SCOPE: Mutex<()> = Mutex::new(());
     let _scope = SCOPE.lock().unwrap_or_else(|e| e.into_inner());
-    configure(Some(plan));
-    // Clear the plan even if `f` unwinds (kill faults do).
-    struct Reset;
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            configure(None);
-        }
-    }
-    let _reset = Reset;
     f()
 }
 
@@ -350,9 +359,13 @@ mod tests {
 
     #[test]
     fn fire_is_noop_when_disabled() {
-        assert!(!enabled());
-        fire("anything"); // must not panic
-        assert!(!wants_corrupt("anything"));
+        // Hold the plan lock so no concurrently-running test has a plan
+        // installed while this one expects none.
+        exclusive(|| {
+            assert!(!enabled());
+            fire("anything"); // must not panic
+            assert!(!wants_corrupt("anything"));
+        });
     }
 
     #[test]
@@ -372,7 +385,7 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         });
-        assert!(!enabled(), "plan cleared after with_plan");
+        assert!(!exclusive(enabled), "plan cleared after with_plan");
     }
 
     #[test]
@@ -406,7 +419,7 @@ mod tests {
             })
         });
         assert!(caught.expect_err("kill escapes").is::<KillSwitch>());
-        assert!(!enabled(), "plan cleared even on unwind");
+        assert!(!exclusive(enabled), "plan cleared even on unwind");
     }
 
     #[test]

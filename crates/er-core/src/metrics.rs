@@ -8,10 +8,9 @@
 
 use crate::candidates::CandidateSet;
 use crate::dataset::GroundTruth;
-use serde::{Deserialize, Serialize};
 
 /// PC, PQ and the underlying counts for one filter execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Effectiveness {
     /// Pair completeness (recall).
     pub pc: f64,

@@ -30,13 +30,12 @@ use crate::hash::FastMap;
 use crate::metrics::Effectiveness;
 use crate::parallel::{self, Threads};
 use crate::timing::PhaseBreakdown;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Grid resolution shared by every method's configuration space: the
 /// paper's exhaustive grids, a representative pruned subset for
 /// laptop-scale sweeps, or a minimal smoke grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GridResolution {
     /// The exact paper domains (Tables III–V; thousands of configurations).
     Full,
@@ -47,7 +46,7 @@ pub enum GridResolution {
 }
 
 /// The recall target τ of Problem 1. The paper uses τ = 0.9 throughout.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TargetRecall(pub f64);
 
 impl Default for TargetRecall {

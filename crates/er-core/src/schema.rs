@@ -10,10 +10,9 @@
 use crate::dataset::Dataset;
 use crate::hash::{FastMap, FastSet};
 use er_text::{tokenize, Cleaner};
-use serde::{Deserialize, Serialize};
 
 /// Which textual view of the profiles a filter should run on.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SchemaMode {
     /// Use all attribute values, concatenated ("long textual value").
     Agnostic,
@@ -24,7 +23,7 @@ pub enum SchemaMode {
 }
 
 /// Per-attribute statistics (Figure 3a).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttributeStats {
     /// Attribute name.
     pub name: String,
@@ -104,7 +103,7 @@ impl TextView {
 }
 
 /// Aggregate corpus statistics for Figures 3b/3c.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CorpusStats {
     /// Total number of distinct tokens across both collections.
     pub vocabulary_size: usize,

@@ -4,11 +4,10 @@
 //! kNN-Join is the only deterministic, cardinality-based method with a
 //! syntactic representation).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The three families of filtering methods.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MethodFamily {
     /// Blocking workflows (§IV-B).
     Blocking,
@@ -19,7 +18,7 @@ pub enum MethodFamily {
 }
 
 /// Entity representation at the core of a method (Table I rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Representation {
     /// Token / character n-gram co-occurrence on the actual text.
     Syntactic,
@@ -28,7 +27,7 @@ pub enum Representation {
 }
 
 /// Type of operation (Table II rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operation {
     /// No randomness; stable output across runs.
     Deterministic,
@@ -37,7 +36,7 @@ pub enum Operation {
 }
 
 /// Type of threshold (Table II columns).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Threshold {
     /// Minimum similarity of candidate pairs (global condition).
     Similarity,
@@ -46,7 +45,7 @@ pub enum Threshold {
 }
 
 /// One NN method's placement in both taxonomies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MethodProfile {
     /// Display name.
     pub name: &'static str,

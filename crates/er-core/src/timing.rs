@@ -6,7 +6,6 @@
 //! querying times. A [`PhaseBreakdown`] is an ordered list of named phase
 //! durations that sums to the method's RT.
 
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// A simple monotonic stopwatch.
@@ -39,7 +38,7 @@ impl Stopwatch {
 
 /// The pipeline stage a phase belongs to (paper §V: preparation work is
 /// amortizable across a method's configuration grid, query work is not).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Representation-dependent work: tokenization, embedding, index
     /// construction. Shareable across grid points via the artifact cache.
@@ -50,7 +49,7 @@ pub enum Stage {
 
 /// Named phase durations of a single filter execution, each tagged with the
 /// [`Stage`] it belongs to.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PhaseBreakdown {
     phases: Vec<(String, Duration, Stage)>,
     /// Prepare time attributed to this execution once artifact reuse is
@@ -182,7 +181,7 @@ const HISTOGRAM_BUCKETS: usize = 32;
 /// no allocation, quantiles are read from bucket upper bounds, so p99 over
 /// millions of requests costs 32 words of memory — the shape the serve
 /// daemon's `/stats` endpoint reports.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     counts: Vec<u64>,
     total: u64,

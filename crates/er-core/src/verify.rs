@@ -13,18 +13,17 @@ use crate::dataset::GroundTruth;
 use crate::hash::FastSet;
 use crate::schema::TextView;
 use er_text::tokenize;
-use serde::{Deserialize, Serialize};
 
 /// A rule-based matcher: two entities match when the Jaccard similarity of
 /// their token sets reaches `threshold`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JaccardMatcher {
     /// Match threshold in `[0, 1]`.
     pub threshold: f64,
 }
 
 /// End-to-end ER quality after verification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatchingQuality {
     /// Matches found / ground-truth duplicates.
     pub recall: f64,

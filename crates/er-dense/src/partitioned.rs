@@ -192,15 +192,13 @@ impl PartitionedIndex {
         let ids = probed.flat_map(|c| self.members[c].iter().copied());
 
         match (&self.scoring, &self.pq) {
-            (Scoring::BruteForce, _) | (_, None) => {
-                knn_over(query, k, ids, |id| match self.metric {
-                    Metric::Dot => -dot(query, self.vectors.row(id as usize)),
-                    Metric::L2Sq => l2_sq(query, self.vectors.row(id as usize)),
-                })
-            }
+            (Scoring::BruteForce, _) | (_, None) => knn_over(k, ids, |id| match self.metric {
+                Metric::Dot => -dot(query, self.vectors.row(id as usize)),
+                Metric::L2Sq => l2_sq(query, self.vectors.row(id as usize)),
+            }),
             (Scoring::AsymmetricHashing, Some((pq, codes))) => {
                 let table = pq.lookup_table(query, self.metric == Metric::Dot);
-                knn_over(query, k, ids, |id| pq.score(&table, &codes[id as usize]))
+                knn_over(k, ids, |id| pq.score(&table, &codes[id as usize]))
             }
         }
     }

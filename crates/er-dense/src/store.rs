@@ -6,13 +6,15 @@
 //! cross-polytope rotations plus their hash tables) and the SCANN-style
 //! partitioned index with its optional product quantizer.
 //!
-//! Flat-index files exist in two generations. [`DenseFlatCodec`] (id 3)
-//! predates the quantized scan sidecar: it is decode-only and opts out of
-//! exact heap parity, because its headers record the footprint without
-//! the sidecar that [`FlatIndex::from_parts`] now rebuilds. New files are
-//! written by [`DenseFlatQCodec`] (id 9) with the *same section layout* —
-//! the sidecar is never serialized since quantization is deterministic,
-//! so decode re-derives an identical one and exact parity holds.
+//! Flat-index files exist in two generations with the *same section
+//! layout*: [`DenseFlatCodec`] (id 3) is decode-only, and new files are
+//! written by [`DenseFlatQCodec`] (id 9). Both decode to the same
+//! in-memory [`FlatIndex`]. Id 9 was introduced alongside a u8 scan
+//! sidecar that decode rebuilt instead of reading, so its files never
+//! held one; the sidecar is gone and only the id remains. Headers of
+//! id-9 files written with the sidecar (≥ 4096 rows) still count it in
+//! `heap_bytes`, so that codec opts out of exact heap parity; new files
+//! record exactly the decoded footprint.
 //!
 //! Common building blocks: [`FlatVectors`] serializes as `(rows, dim)`
 //! scalars plus one `f32` section; ragged `Vec<Vec<f32>>` collections as
@@ -35,12 +37,12 @@ use crate::partitioned::{PartitionedArtifact, PartitionedIndex, Scoring};
 use crate::pq::ProductQuantizer;
 use crate::vector::FlatVectors;
 use er_core::hash::FastMap;
-use er_store::{ArtifactCodec, SectionCursor, SectionRatio, Sections, StoreError, StoreFile};
+use er_store::{ArtifactCodec, SectionCursor, Sections, StoreError, StoreFile};
 use std::any::Any;
 use std::hash::Hash;
 use std::sync::Arc;
 
-/// Codec id of legacy (pre-quantization) embed+flat-index files.
+/// Codec id of legacy embed+flat-index files (decode-only).
 pub const DENSE_FLAT_CODEC_ID: u32 = 3;
 /// Codec id stamped into new embed+flat-index artifact files.
 pub const DENSE_FLAT_Q_CODEC_ID: u32 = 9;
@@ -237,8 +239,8 @@ fn decode_flat(file: &StoreFile) -> er_store::Result<(Arc<dyn Any + Send + Sync>
     Ok((Arc::new(DenseIndexArtifact { index, queries }), heap_bytes))
 }
 
-/// Decodes legacy (pre-quantization) [`DenseIndexArtifact`] files. New
-/// files are written by [`DenseFlatQCodec`].
+/// Decodes legacy [`DenseIndexArtifact`] files. New files are written
+/// by [`DenseFlatQCodec`] with the same layout.
 pub struct DenseFlatCodec;
 
 impl ArtifactCodec for DenseFlatCodec {
@@ -255,12 +257,6 @@ impl ArtifactCodec for DenseFlatCodec {
         None
     }
 
-    /// Legacy headers recorded `heap_bytes` without the quantized scan
-    /// sidecar that decode now rebuilds.
-    fn exact_heap_parity(&self) -> bool {
-        false
-    }
-
     fn decode(&self, file: &StoreFile) -> er_store::Result<(Arc<dyn Any + Send + Sync>, usize)> {
         decode_flat(file)
     }
@@ -268,9 +264,7 @@ impl ArtifactCodec for DenseFlatCodec {
 
 /// (De)serializes [`DenseIndexArtifact`] (FAISS-Flat, range, DeepBlocker).
 ///
-/// Same sections as the legacy [`DenseFlatCodec`]; only the u8 scan
-/// sidecar semantics differ, and that is rebuilt — not stored — so the
-/// header's `heap_bytes` matches decode exactly.
+/// Same sections as the legacy [`DenseFlatCodec`].
 pub struct DenseFlatQCodec;
 
 impl ArtifactCodec for DenseFlatQCodec {
@@ -296,19 +290,11 @@ impl ArtifactCodec for DenseFlatQCodec {
         decode_flat(file)
     }
 
-    /// Reports the derived quantization sidecar: encoded bytes are the
-    /// serialized f32 rows, decoded bytes add the rebuilt u8 sidecar.
-    fn section_ratios(&self, file: &StoreFile) -> er_store::Result<Vec<SectionRatio>> {
-        let mut cur = file.cursor()?;
-        let metric = metric_from(cur.scalar()?)?;
-        let vectors = read_vectors("index vectors", &mut cur)?;
-        let encoded = vectors.heap_bytes() as u64;
-        let index = FlatIndex::from_parts(vectors, metric);
-        Ok(vec![SectionRatio {
-            label: "index".to_owned(),
-            encoded_bytes: encoded,
-            decoded_bytes: index.heap_bytes() as u64,
-        }])
+    /// Files of ≥ 4096 rows written while decode still rebuilt the u8
+    /// scan sidecar record a `heap_bytes` that includes it; they load
+    /// with the smaller decoded footprint instead of being re-prepared.
+    fn exact_heap_parity(&self) -> bool {
+        false
     }
 }
 
@@ -772,7 +758,7 @@ mod tests {
     }
 
     #[test]
-    fn new_flat_files_use_the_quantized_codec() {
+    fn new_flat_files_use_the_dense_flat_q_codec() {
         let (store, dir) = store_in("flatq");
         let f = FlatKnn {
             cleaning: false,
@@ -787,14 +773,47 @@ mod tests {
         let info = infos[0].1.as_ref().expect("readable file");
         assert_eq!(info.codec_id, DENSE_FLAT_Q_CODEC_ID);
         assert_eq!(info.codec_name, Some("dense-flat-q"));
-        // The compression report shows the rebuilt sidecar's overhead:
-        // decoded (f32 rows + u8 sidecar) ≥ encoded (f32 rows only). This
-        // tiny collection sits below QUANT_CUTOVER_ROWS, so the decode
-        // gate skips the sidecar and the two figures are equal.
-        let ratios = &info.section_ratios;
-        assert_eq!(ratios.len(), 1);
-        assert_eq!(ratios[0].label, "index");
-        assert!(ratios[0].decoded_bytes >= ratios[0].encoded_bytes);
+        // The f32 rows are stored verbatim: no compression report.
+        assert!(info.section_ratios.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn large_flat_artifact_costs_only_its_f32_rows_and_queries() {
+        // Above the old 4096-row cutover, where decode used to add a u8
+        // scan sidecar: the decoded footprint is the f32 rows plus the
+        // queries, and the header records exactly that.
+        let (store, dir) = store_in("flat_large");
+        let (rows, dim) = (4200usize, 8usize);
+        let vectors: Vec<Vec<f32>> = (0..rows)
+            .map(|i| {
+                (0..dim)
+                    .map(|d| ((i * dim + d) as f32 * 0.37).sin())
+                    .collect()
+            })
+            .collect();
+        let queries = vectors[..50].to_vec();
+        let index = FlatIndex::build(vectors, Metric::L2Sq);
+        let expected = rows * dim * std::mem::size_of::<f32>() + vecs_bytes(&queries);
+        assert_eq!(index.heap_bytes() + vecs_bytes(&queries), expected);
+        let fresh = Prepared::new(
+            DenseIndexArtifact { index, queries },
+            expected,
+            Default::default(),
+        );
+        let back = roundtrip(&store, 30, "dense:flat:large", &fresh);
+        assert_eq!(back.bytes(), expected);
+        let infos = store.inspect().expect("inspect");
+        let info = infos[0].1.as_ref().expect("readable file");
+        assert_eq!(info.codec_id, DENSE_FLAT_Q_CODEC_ID);
+        assert_eq!(info.heap_bytes, expected as u64);
+        let (a, b) = (
+            fresh.downcast::<DenseIndexArtifact>(),
+            back.downcast::<DenseIndexArtifact>(),
+        );
+        for query in a.queries.iter().step_by(7) {
+            assert_eq!(a.index.knn(query, 5), b.index.knn(query, 5));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -262,7 +262,9 @@ proptest! {
             k: 2,
             reversed: false,
         };
-        let build = |n: u32, flush: bool| {
+        // Edits fire the `delta/apply` fault site: hold the fault lock so
+        // a concurrently running fault test's plan cannot hit them.
+        let build = |n: u32, flush: bool| er_core::faults::exclusive(|| {
             let mut idx = ShardedIndex::build("prop", n, rows.clone(), query_raw.clone());
             for (id, is_upsert, set) in &edits {
                 if *is_upsert {
@@ -275,7 +277,7 @@ proptest! {
                 idx.flush();
             }
             idx
-        };
+        });
         for flush in [false, true] {
             let mono = build(1, flush);
             let want_eps = mono.epsilon_batch(&eps, 1);

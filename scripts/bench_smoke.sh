@@ -12,10 +12,9 @@
 #    neither warm pass re-prepares anything and all three report
 #    identically, and leaves BENCH_prepare.json.
 # 3. Runs the kernel/layout micro-benchmark (naive vs CSR sparse layouts,
-#    scalar vs blocked vs SIMD dense kernels, packed vs plain postings,
-#    exact vs quantized-with-rescore flat scans), which verifies every
-#    optimized path's candidate sets match its reference bit-for-bit and
-#    leaves BENCH_kernels.json.
+#    scalar vs blocked vs SIMD dense kernels, packed vs plain postings),
+#    which verifies every optimized path's candidate sets match its
+#    reference bit-for-bit and leaves BENCH_kernels.json.
 # 4. Appends the run's headline speedups to results/bench_history.jsonl
 #    (git SHA + date) and fails on a >20% regression against the median
 #    of the last five recorded runs.
@@ -125,7 +124,7 @@ fi
 echo "== wrote BENCH_prepare.json" >&2
 cat BENCH_prepare.json
 
-echo "== kernel smoke: naive layouts vs CSR/SIMD/packed/quantized kernels" >&2
+echo "== kernel smoke: naive layouts vs CSR/SIMD/packed kernels" >&2
 cargo build --release -p er-bench --bin bench_kernels --bin bench_history >&2
 target/release/bench_kernels --scale "${BENCH_KERNEL_SCALE:-0.25}" --seed 7 \
     --out BENCH_kernels.json >&2
@@ -133,9 +132,9 @@ if ! grep -q '"candidate_sets_identical":true' BENCH_kernels.json; then
     echo "KERNEL FAILURE: CSR pipeline disagrees with the naive reference" >&2
     exit 1
 fi
-# The per-path gates: packed posting traversal and the quantized scan
-# must each match their exact reference, and the dense kernels must be
-# bitwise identical across scalar/blocked/SIMD.
+# The per-path gates: packed posting traversal must match its exact
+# reference, and the dense kernels must be bitwise identical across
+# scalar/blocked/SIMD.
 if grep -q '"candidate_sets_identical":false' BENCH_kernels.json; then
     echo "KERNEL FAILURE: an optimized path disagrees with its reference" >&2
     exit 1
